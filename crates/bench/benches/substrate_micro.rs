@@ -1,6 +1,7 @@
 //! Microbenchmarks of the substrate crates on the protocol's hot paths:
 //! HTML parsing, innerHTML serialization, Fig.-4 XML write/read, the JS
-//! escape pair, HMAC signing, and HTTP parsing.
+//! escape pair, a snapshot build with its delta ring, HMAC signing, and
+//! HTTP parsing.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
@@ -70,6 +71,70 @@ fn bench_xml(c: &mut Criterion) {
     group.finish();
 }
 
+/// The host write path of one co-fill keystroke: merge a `FormInput`
+/// into the wikipedia.org page, then build the next snapshot (generation
+/// plus the three-slot delta ring) against the previous one.
+fn bench_snapshot(c: &mut Criterion) {
+    use rcb_browser::{Browser, BrowserKind, UserAction};
+    use rcb_core::{AgentConfig, CacheMode, ContentSnapshot, RcbAgent};
+    use rcb_origin::OriginRegistry;
+    use rcb_sim::link::Pipe;
+    use rcb_sim::profiles::NetProfile;
+    use rcb_util::SimTime;
+    use std::sync::Arc;
+
+    let mut origins = OriginRegistry::with_alexa20();
+    let profile = NetProfile::lan();
+    let mut pipe = Pipe::new(profile.host_origin);
+    let mut host = Browser::new(BrowserKind::Firefox);
+    host.navigate(
+        &rcb_url::Url::parse("http://wikipedia.org/").unwrap(),
+        &mut origins,
+        &mut pipe,
+        &profile,
+        SimTime::ZERO,
+    )
+    .unwrap();
+    let mut agent = RcbAgent::new(
+        SessionKey::generate_deterministic(&mut DetRng::new(1)),
+        AgentConfig::builder().cache_mode(CacheMode::Cache).build(),
+    );
+    let mut now = SimTime::ZERO;
+    let mut prev = ContentSnapshot::build(&mut agent, &host, now, None).unwrap();
+    // Fill the ring so every build carries three slots, as in a session.
+    let mut keystroke = 0u64;
+    let mut type_and_build =
+        |agent: &mut RcbAgent, host: &mut Browser, prev: &mut Arc<ContentSnapshot>| {
+            keystroke += 1;
+            now = SimTime::from_millis(keystroke * 10);
+            let value = format!("query {keystroke}");
+            agent.merge_poll_actions(
+                1,
+                vec![UserAction::FormInput {
+                    form: "q".into(),
+                    field: "q".into(),
+                    value,
+                }],
+                host,
+            );
+            let plan = ContentSnapshot::plan(agent, host, now).unwrap();
+            let (snap, generated) = plan.finish(Some(prev)).unwrap();
+            if let Some(content) = generated {
+                agent.admit_generated(snap.dom_version, CacheMode::Cache, content);
+            }
+            *prev = snap;
+        };
+    for _ in 0..3 {
+        type_and_build(&mut agent, &mut host, &mut prev);
+    }
+    assert_eq!(prev.delta_ring_len(), rcb_core::snapshot::DELTA_RING);
+    let mut group = c.benchmark_group("snapshot");
+    group.bench_function("snapshot_build_delta_ring", |b| {
+        b.iter(|| type_and_build(&mut agent, &mut host, &mut prev))
+    });
+    group.finish();
+}
+
 fn bench_crypto_http(c: &mut Criterion) {
     let key = SessionKey::generate_deterministic(&mut DetRng::new(1));
     let mut group = c.benchmark_group("protocol");
@@ -108,6 +173,6 @@ fn bench_crypto_http(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(30);
-    targets = bench_html, bench_escape, bench_xml, bench_crypto_http
+    targets = bench_html, bench_escape, bench_xml, bench_snapshot, bench_crypto_http
 }
 criterion_main!(benches);

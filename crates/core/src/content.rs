@@ -48,7 +48,9 @@ use rcb_html::dom::{Document, NodeData, NodeId};
 use rcb_html::{inner_html, query};
 use rcb_url::Url;
 use rcb_util::{RcbError, Result, SimDuration, Stopwatch};
-use rcb_xml::{write_new_content, ElementPayload, NewContent, TopLevel};
+use rcb_xml::{
+    write_new_content_with_sections, ElementPayload, Fig4Sections, NewContent, TopLevel,
+};
 
 use crate::agent::CacheMode;
 use crate::auth::object_token;
@@ -58,6 +60,9 @@ use crate::auth::object_token;
 pub struct GeneratedContent {
     /// The serialized Fig.-4 XML document.
     pub xml: String,
+    /// Where its head, top and userActions sections lie in `xml`: the
+    /// bytes every delta reply repeats.
+    pub sections: Fig4Sections,
     /// The document timestamp embedded in it.
     pub doc_time: u64,
     /// Supplementary-object URLs a participant must fetch after applying
@@ -192,6 +197,44 @@ fn finish_impl(
     path_prefix: &str,
 ) -> Result<GeneratedContent> {
     let sw = Stopwatch::start();
+    let prep_cost = job.prep_cost;
+    let (nc, object_urls, cache_rewrites) =
+        rewrite_and_extract(job, cache, mapping, key, path_prefix)?;
+    let (xml, sections) = write_new_content_with_sections(&nc);
+    Ok(GeneratedContent {
+        xml,
+        sections,
+        doc_time: nc.doc_time,
+        object_urls,
+        cache_rewrites,
+        generation_cost: prep_cost + sw.elapsed(),
+    })
+}
+
+/// Phase 2 on the typed payloads alone: the generation's [`NewContent`]
+/// exactly as [`finish_generation`] writes it, for tests that hold the
+/// written bytes to the typed model.
+#[cfg(test)]
+pub(crate) fn finish_generation_typed(
+    job: GenerationJob,
+    cache: &CacheView,
+    mapping: &Mutex<MappingTable>,
+    key: &SessionKey,
+    path_prefix: &str,
+) -> Result<NewContent> {
+    rewrite_and_extract(job, cache, MappingAccess::Shared(mapping), key, path_prefix)
+        .map(|(nc, ..)| nc)
+}
+
+/// Steps 2–5 up to the typed payloads, plus the supplementary-object URLs
+/// and the number of cache-mode rewrites.
+fn rewrite_and_extract(
+    job: GenerationJob,
+    cache: &CacheView,
+    mapping: MappingAccess<'_>,
+    key: &SessionKey,
+    path_prefix: &str,
+) -> Result<(NewContent, Vec<String>, usize)> {
     let GenerationJob {
         mut doc,
         clone,
@@ -200,7 +243,7 @@ fn finish_impl(
         mode,
         user_actions,
         observer,
-        prep_cost,
+        prep_cost: _,
     } = job;
 
     // Step 2: relative → absolute URL conversion, using the download
@@ -226,7 +269,7 @@ fn finish_impl(
     // Step 4: event-attribute rewriting.
     rewrite_event_attributes(&mut doc, clone);
 
-    // Step 5: XML assembly.
+    // Step 5: the payloads the XML is assembled from.
     let (head_children, top) = extract_payloads(&doc, clone)?;
     let object_urls = query::collect_supplementary_urls(&doc, clone);
     let nc = NewContent {
@@ -235,14 +278,7 @@ fn finish_impl(
         top,
         user_actions,
     };
-    let xml = write_new_content(&nc);
-    Ok(GeneratedContent {
-        xml,
-        doc_time,
-        object_urls,
-        cache_rewrites,
-        generation_cost: prep_cost + sw.elapsed(),
-    })
+    Ok((nc, object_urls, cache_rewrites))
 }
 
 /// Step 2: make every URL-bearing attribute absolute.
@@ -599,5 +635,77 @@ mod tests {
         let b = Browser::new(BrowserKind::Firefox);
         let mut mapping = MappingTable::new();
         assert!(generate_content(&b, CacheMode::Cache, &mut mapping, &key(), "", 1, "").is_err());
+    }
+
+    /// Every delta-ring slot of a real page equals `write_delta_content`
+    /// built from the typed payloads of the two generations it spans —
+    /// with the changed components decided from the typed payloads too,
+    /// never from the bytes the splice itself compares.
+    #[test]
+    fn spliced_slots_equal_deltas_written_from_typed_payloads() {
+        use crate::agent::{AgentConfig, RcbAgent};
+        use crate::snapshot::ContentSnapshot;
+        use rcb_browser::UserAction;
+        use rcb_xml::{write_delta_content, DeltaContent};
+
+        let mut agent = RcbAgent::new(key(), AgentConfig::builder().build());
+        let mut host = loaded_host("wikipedia.org");
+        // Generation `i`'s typed payloads, re-derived from the host state
+        // the snapshot was generated from.
+        let typed = |agent: &RcbAgent, host: &Browser, doc_time: u64, actions: String| {
+            let job = prepare_generation(host, CacheMode::Cache, doc_time, actions).unwrap();
+            let config = &agent.config;
+            let (cache, mapping) = (host.cache.view(), agent.mapping());
+            finish_generation_typed(job, &cache, mapping, agent.key(), &config.path_prefix).unwrap()
+        };
+        let mut prev = ContentSnapshot::build(&mut agent, &host, SimTime::ZERO, None).unwrap();
+        let mut gens = vec![(
+            prev.dom_version,
+            typed(&agent, &host, prev.doc_time, String::new()),
+        )];
+        for i in 1..=6u64 {
+            host.mutate_dom(|doc| match i % 3 {
+                1 => {
+                    let (body, div) = (doc.body().unwrap(), doc.create_element("div"));
+                    doc.append_child(body, div).unwrap();
+                }
+                2 => {
+                    let (head, meta) = (doc.head().unwrap(), doc.create_element("meta"));
+                    doc.append_child(head, meta).unwrap();
+                }
+                _ => {}
+            })
+            .unwrap();
+            let action = UserAction::MouseMove { x: 3, y: i as i32 };
+            let actions = UserAction::encode_batch(std::slice::from_ref(&action));
+            agent.queue_host_action(action);
+            let now = SimTime::from_millis(i);
+            let snap = ContentSnapshot::build(&mut agent, &host, now, Some(&prev)).unwrap();
+            let cur = typed(&agent, &host, snap.doc_time, actions);
+            assert_eq!(snap.xml(), rcb_xml::write_new_content(&cur));
+            let mut hits = 0;
+            for (version, base) in &gens {
+                let Some(reply) = snap.delta_response_for(*version) else {
+                    continue;
+                };
+                hits += 1;
+                let expected = write_delta_content(&DeltaContent {
+                    doc_time: cur.doc_time,
+                    from_doc_time: base.doc_time,
+                    head_children: (base.head_children != cur.head_children)
+                        .then(|| cur.head_children.clone()),
+                    top: (base.top != cur.top).then(|| cur.top.clone()),
+                    user_actions: cur.user_actions.clone(),
+                });
+                assert_eq!(
+                    reply.body.as_slice(),
+                    expected.as_bytes(),
+                    "gen {i} from v{version}"
+                );
+            }
+            assert_eq!(hits, gens.len().min(crate::snapshot::DELTA_RING));
+            gens.push((snap.dom_version, cur));
+            prev = snap;
+        }
     }
 }

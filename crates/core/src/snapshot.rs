@@ -65,7 +65,7 @@ use rcb_crypto::SessionKey;
 use rcb_http::{Body, Response, Status};
 use rcb_util::{Result, SimTime};
 
-use rcb_xml::{DeltaContent, ElementPayload, TopLevel};
+use rcb_xml::Fig4Sections;
 
 use crate::agent::{CacheMode, RcbAgent};
 use crate::content::{finish_generation, prepare_generation, GeneratedContent, GenerationJob};
@@ -144,11 +144,10 @@ pub struct ContentSnapshot {
     /// Servable objects: this generation's plus the predecessor's live
     /// set (two-generation bound).
     objects: HashMap<CacheKey, SnapshotObject>,
-    /// FNV-1a hashes of the encoded head / top payloads, used to decide
-    /// which components the *next* generation's deltas must carry.
-    /// `None` when the generated XML did not parse back (no ring is built
-    /// from such a snapshot — full XML only, never a wrong no-op delta).
-    payload_hashes: Option<(u64, u64)>,
+    /// Where the head, top and userActions sections lie in `xml`: the
+    /// next generation compares its sections with these bytes to decide
+    /// which components its deltas must carry.
+    sections: Fig4Sections,
     /// Deltas from up to [`DELTA_RING`] predecessor generations to this
     /// one, newest base first.
     delta_ring: Vec<DeltaSlot>,
@@ -280,41 +279,6 @@ impl ContentSnapshot {
     }
 }
 
-/// FNV-1a over one byte slice, continuing from `h`.
-fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// Hash of the encoded head payloads, order-sensitive.
-fn head_payload_hash(children: &[ElementPayload]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for child in children {
-        h = fnv1a(h, child.encode().as_bytes());
-        h = fnv1a(h, b"\x1f");
-    }
-    h
-}
-
-/// Hash of the encoded top-level payload, variant-tagged.
-fn top_payload_hash(top: &TopLevel) -> u64 {
-    match top {
-        TopLevel::Body(b) => fnv1a(fnv1a(FNV_OFFSET, b"B"), b.encode().as_bytes()),
-        TopLevel::Frames { frameset, noframes } => {
-            let mut h = fnv1a(fnv1a(FNV_OFFSET, b"F"), frameset.encode().as_bytes());
-            if let Some(nf) = noframes {
-                h = fnv1a(fnv1a(h, b"N"), nf.encode().as_bytes());
-            }
-            h
-        }
-    }
-}
-
 impl SnapshotPlan {
     /// Phase 2, **no locks held**: run the deferred generation (if any),
     /// resolve object bytes from the frozen cache view, and serialize the
@@ -407,92 +371,79 @@ impl SnapshotPlan {
             self.sign.then_some(&self.key),
         );
 
-        // Delta ring: parse this generation's payloads back (lock-free,
-        // once per generation) and freeze one prefab delta per surviving
-        // predecessor base. A failed parse disables the ring for this
-        // snapshot rather than risking a wrong no-op delta.
-        let parsed = rcb_xml::parse_new_content(&content.xml).ok().flatten();
-        let payload_hashes = parsed.as_ref().map(|nc| {
-            (
-                head_payload_hash(&nc.head_children),
-                top_payload_hash(&nc.top),
-            )
-        });
+        // Delta ring: one prefab delta per surviving predecessor base,
+        // spliced from this generation's section bytes. A component counts
+        // as changed when its section bytes differ from the predecessor's:
+        // escaping is injective, so equal bytes mean equal payloads.
         let mut delta_ring = Vec::new();
-        if let (Some(nc), Some((cur_head, cur_top)), Some(prev)) = (&parsed, payload_hashes, prev) {
-            if let Some((prev_head, prev_top)) = prev.payload_hashes {
-                let step_head = prev_head != cur_head;
-                let step_top = prev_top != cur_top;
-                // Candidate bases: the predecessor itself, then every base
-                // its ring still covered, with changed flags OR-accumulated
-                // across the new step. Strictly older than this generation.
-                let mut bases: Vec<(u64, u64, bool, bool, &[CacheKey])> = Vec::new();
-                if prev.dom_version < self.dom_version {
+        if let Some(prev) = prev {
+            let (cur, old) = (&content.sections, &prev.sections);
+            let step_head = xml[cur.head.clone()] != prev.xml[old.head.clone()];
+            let step_top = xml[cur.top.clone()] != prev.xml[old.top.clone()];
+            // Candidate bases: the predecessor itself, then every base its
+            // ring still covered, with changed flags OR-accumulated across
+            // the new step. Strictly older than this generation.
+            let mut bases: Vec<(u64, u64, bool, bool, &[CacheKey])> = Vec::new();
+            if prev.dom_version < self.dom_version {
+                bases.push((
+                    prev.dom_version,
+                    prev.doc_time,
+                    step_head,
+                    step_top,
+                    &prev.live_keys,
+                ));
+            }
+            for slot in &prev.delta_ring {
+                if slot.from_dom_version < self.dom_version {
                     bases.push((
-                        prev.dom_version,
-                        prev.doc_time,
-                        step_head,
-                        step_top,
-                        &prev.live_keys,
+                        slot.from_dom_version,
+                        slot.from_doc_time,
+                        slot.head_changed || step_head,
+                        slot.top_changed || step_top,
+                        &slot.from_live_keys,
                     ));
                 }
-                for slot in &prev.delta_ring {
-                    if slot.from_dom_version < self.dom_version {
-                        bases.push((
-                            slot.from_dom_version,
-                            slot.from_doc_time,
-                            slot.head_changed || step_head,
-                            slot.top_changed || step_top,
-                            &slot.from_live_keys,
-                        ));
-                    }
-                }
-                bases.sort_by_key(|b| std::cmp::Reverse(b.0));
-                bases.dedup_by_key(|b| b.0);
-                bases.truncate(DELTA_RING);
-                for (from_version, from_time, head_changed, top_changed, from_keys) in bases {
-                    let dc = DeltaContent {
-                        doc_time: self.doc_time,
-                        from_doc_time: from_time,
-                        head_children: head_changed.then(|| nc.head_children.clone()),
-                        top: top_changed.then(|| nc.top.clone()),
-                        user_actions: nc.user_actions.clone(),
-                    };
-                    let delta_xml = rcb_xml::write_delta_content(&dc);
-                    // Inline the objects this generation references that the
-                    // base generation did not: the receiver gets them in one
-                    // response instead of N `/cache/{key}` round trips.
-                    let new_keys: Vec<CacheKey> = live_keys
-                        .iter()
-                        .copied()
-                        .filter(|k| !from_keys.contains(k))
-                        .filter(|k| objects.contains_key(k) && minted_urls.contains_key(k))
-                        .collect();
-                    let response = if new_keys.is_empty() {
-                        prefab_response(
-                            Status::OK,
-                            "application/xml; charset=utf-8",
-                            Arc::from(delta_xml.as_bytes()),
-                            self.sign.then_some(&self.key),
-                        )
-                    } else {
-                        let body = assemble_batch(&delta_xml, &new_keys, &objects, &minted_urls);
-                        prefab_response(
-                            Status::OK,
-                            BATCH_CONTENT_TYPE,
-                            Arc::from(body),
-                            self.sign.then_some(&self.key),
-                        )
-                    };
-                    delta_ring.push(DeltaSlot {
-                        from_dom_version: from_version,
-                        from_doc_time: from_time,
-                        head_changed,
-                        top_changed,
-                        from_live_keys: from_keys.to_vec(),
-                        response,
-                    });
-                }
+            }
+            bases.sort_by_key(|b| std::cmp::Reverse(b.0));
+            bases.dedup_by_key(|b| b.0);
+            bases.truncate(DELTA_RING);
+            for (from_version, from_time, head_changed, top_changed, from_keys) in bases {
+                let delta_xml = rcb_xml::splice_delta_content(
+                    &content.xml,
+                    cur,
+                    self.doc_time,
+                    from_time,
+                    head_changed,
+                    top_changed,
+                );
+                // Inline the objects this generation references that the
+                // base generation did not: the receiver gets them in one
+                // response instead of N `/cache/{key}` round trips.
+                let new_keys: Vec<CacheKey> = live_keys
+                    .iter()
+                    .copied()
+                    .filter(|k| !from_keys.contains(k))
+                    .filter(|k| objects.contains_key(k) && minted_urls.contains_key(k))
+                    .collect();
+                let (content_type, body) = if new_keys.is_empty() {
+                    ("application/xml; charset=utf-8", delta_xml.into_bytes())
+                } else {
+                    let body = assemble_batch(&delta_xml, &new_keys, &objects, &minted_urls);
+                    (BATCH_CONTENT_TYPE, body)
+                };
+                delta_ring.push(DeltaSlot {
+                    from_dom_version: from_version,
+                    from_doc_time: from_time,
+                    head_changed,
+                    top_changed,
+                    from_live_keys: from_keys.to_vec(),
+                    response: prefab_response(
+                        Status::OK,
+                        content_type,
+                        Arc::from(body),
+                        self.sign.then_some(&self.key),
+                    ),
+                });
             }
         }
 
@@ -504,7 +455,7 @@ impl SnapshotPlan {
                 poll_response,
                 live_keys,
                 objects,
-                payload_hashes,
+                sections: content.sections.clone(),
                 delta_ring,
             }),
             generated,

@@ -17,6 +17,7 @@
 //!
 //! The wall-clock cost of one content update is the paper's **M6**.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 use rcb_browser::{Browser, BrowserKind, UserAction};
@@ -165,12 +166,14 @@ impl AjaxSnippet {
         // A batch reply carries the poll payload as its first part and
         // inlines new cache objects as further parts: unpack it, store the
         // objects, and process the payload exactly like a plain reply.
+        // A plain reply's body is parsed in place, not copied.
         let (body, inlined) = if resp.content_type().as_deref() == Some(BATCH_MEDIA_TYPE) {
             let mut parts = parse_batch_parts(resp.body.as_slice())?;
             let first = parts.remove(0);
-            (String::from_utf8_lossy(&first.data).into_owned(), parts)
+            let xml = String::from_utf8_lossy(&first.data).into_owned();
+            (Cow::Owned(xml), parts)
         } else {
-            (resp.body_str(), Vec::new())
+            (String::from_utf8_lossy(resp.body.as_slice()), Vec::new())
         };
         let Some(payload) = parse_poll_payload(&body)? else {
             return Ok(SnippetOutcome::NoNewContent);

@@ -55,54 +55,100 @@ pub fn escape_into(input: &str, out: &mut String) {
     }
 }
 
-/// JavaScript's legacy `unescape` function.
-///
-/// Malformed escapes pass through verbatim, matching browser behaviour.
-/// Surrogate pairs produced by [`escape`] are re-combined; unpaired
-/// surrogates become U+FFFD.
-pub fn unescape(input: &str) -> String {
-    let bytes = input.as_bytes();
-    let mut units: Vec<u16> = Vec::with_capacity(input.len());
+/// Value of each ASCII hex digit, [`NOT_HEX`] for every other byte.
+const HEX_VALUE: [u8; 256] = {
+    let mut t = [NOT_HEX; 256];
     let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] == b'%' {
-            // %uXXXX form.
-            if bytes.get(i + 1) == Some(&b'u') && i + 5 < bytes.len() {
-                if let Ok(v) =
-                    u16::from_str_radix(std::str::from_utf8(&bytes[i + 2..i + 6]).unwrap_or(""), 16)
-                {
-                    units.push(v);
-                    i += 6;
-                    continue;
-                }
-            }
-            // %XX form.
-            if i + 2 < bytes.len() + 1 {
-                if let (Some(h), Some(l)) = (
-                    bytes.get(i + 1).and_then(|b| (*b as char).to_digit(16)),
-                    bytes.get(i + 2).and_then(|b| (*b as char).to_digit(16)),
-                ) {
-                    units.push((h * 16 + l) as u16);
-                    i += 3;
-                    continue;
-                }
-            }
-        }
-        // Pass-through: push the char's UTF-16 units. `i` always sits on
-        // a char boundary (we only ever step past complete chars or ASCII
-        // escape sequences), so the O(1) str slice is safe to take — no
-        // per-character UTF-8 revalidation.
-        if let Some(c) = input.get(i..).and_then(|s| s.chars().next()) {
-            let mut buf = [0u16; 2];
-            units.extend_from_slice(c.encode_utf16(&mut buf));
-            i += c.len_utf8();
-        } else {
-            // Defensive: off-boundary index (cannot happen); stop cleanly.
-            units.push(0xFFFD);
-            break;
+    while i < 10 {
+        t[b'0' as usize + i] = i as u8;
+        i += 1;
+    }
+    let mut i = 0;
+    while i < 6 {
+        t[b'a' as usize + i] = 10 + i as u8;
+        t[b'A' as usize + i] = 10 + i as u8;
+        i += 1;
+    }
+    t
+};
+const NOT_HEX: u8 = 0xFF;
+
+/// Decodes two bare hex digits (no sign, no prefix) into one byte value.
+fn hex_pair(hi: u8, lo: u8) -> Option<u16> {
+    let (h, l) = (HEX_VALUE[hi as usize], HEX_VALUE[lo as usize]);
+    // Every non-digit maps to 0xFF, so one test covers both digits.
+    ((h | l) & 0xF0 == 0).then(|| u16::from(h) << 4 | u16::from(l))
+}
+
+/// The escape sequence at the start of `rest` (which begins with `%`):
+/// the UTF-16 code unit it encodes and its length in bytes.
+fn escape_at(rest: &[u8]) -> Option<(u16, usize)> {
+    if let [_, b'u', a, b, c, d, ..] = *rest {
+        if let (Some(hi), Some(lo)) = (hex_pair(a, b), hex_pair(c, d)) {
+            return Some((hi << 8 | lo, 6));
         }
     }
-    String::from_utf16_lossy(&units)
+    match *rest {
+        [_, hi, lo, ..] => hex_pair(hi, lo).map(|unit| (unit, 3)),
+        _ => None,
+    }
+}
+
+/// JavaScript's legacy `unescape` function.
+///
+/// Malformed escapes — including signed digits such as `%u+041` — pass
+/// through verbatim, matching browser behaviour. Surrogate pairs produced
+/// by [`escape`] are re-combined; unpaired surrogates become U+FFFD.
+///
+/// Decodes straight into UTF-8: runs without `%` are copied as slices,
+/// and only escaped code units are decoded, one at a time.
+pub fn unescape(input: &str) -> String {
+    /// Emits U+FFFD for an escaped high surrogate that found no low half.
+    fn flush_unpaired(out: &mut String, high: &mut Option<u16>) {
+        if high.take().is_some() {
+            out.push(char::REPLACEMENT_CHARACTER);
+        }
+    }
+
+    let bytes = input.as_bytes();
+    let mut out = String::with_capacity(input.len());
+    // An escaped high surrogate waiting for its low half.
+    let mut high: Option<u16> = None;
+    let mut i = 0;
+    while i < bytes.len() {
+        let mut run_end = i;
+        while run_end < bytes.len() && bytes[run_end] != b'%' {
+            run_end += 1;
+        }
+        if run_end > i {
+            // `%` is ASCII, so both ends sit on char boundaries.
+            flush_unpaired(&mut out, &mut high);
+            out.push_str(&input[i..run_end]);
+            i = run_end;
+            continue;
+        }
+        let Some((unit, len)) = escape_at(&bytes[i..]) else {
+            flush_unpaired(&mut out, &mut high);
+            out.push('%');
+            i += 1;
+            continue;
+        };
+        i += len;
+        if let (Some(h), 0xDC00..=0xDFFF) = (high, unit) {
+            high = None;
+            let c = 0x10000 + ((u32::from(h) - 0xD800) << 10) + (u32::from(unit) - 0xDC00);
+            out.push(char::from_u32(c).expect("paired surrogates form a scalar value"));
+            continue;
+        }
+        flush_unpaired(&mut out, &mut high);
+        if (0xD800..0xDC00).contains(&unit) {
+            high = Some(unit);
+        } else {
+            out.push(char::from_u32(u32::from(unit)).unwrap_or(char::REPLACEMENT_CHARACTER));
+        }
+    }
+    flush_unpaired(&mut out, &mut high);
+    out
 }
 
 #[cfg(test)]
@@ -147,6 +193,25 @@ mod tests {
     }
 
     #[test]
+    fn unescape_rejects_signed_digits() {
+        // `u16::from_str_radix` would accept the `+`; JS does not.
+        assert_eq!(unescape("%u+041"), "%u+041");
+        assert_eq!(unescape("%+41"), "%+41");
+        assert_eq!(unescape("%u-041"), "%u-041");
+    }
+
+    #[test]
+    fn unescape_surrogate_edges() {
+        assert_eq!(unescape("%uD83D"), "\u{FFFD}");
+        assert_eq!(unescape("%uDE00"), "\u{FFFD}");
+        assert_eq!(unescape("%uD83Dx%uDE00"), "\u{FFFD}x\u{FFFD}");
+        assert_eq!(unescape("%uD83D%uD83D%uDE00"), "\u{FFFD}😀");
+        assert_eq!(unescape("%uD83D%41"), "\u{FFFD}A");
+        assert_eq!(unescape("%uD83D%"), "\u{FFFD}%");
+        assert_eq!(unescape("😀%uDE00"), "😀\u{FFFD}");
+    }
+
+    #[test]
     fn unescape_plain_text() {
         assert_eq!(unescape("hello world"), "hello world");
     }
@@ -162,5 +227,98 @@ mod tests {
         escape_into(a, &mut streamed);
         escape_into(b, &mut streamed);
         assert_eq!(streamed, escape(&format!("{a}{b}")));
+    }
+
+    /// The UTF-16 implementation this module shipped before decoding went
+    /// straight to UTF-8, with the signed-digit fix applied: the oracle the
+    /// property test holds [`unescape`] to.
+    fn unescape_via_utf16(input: &str) -> String {
+        let bytes = input.as_bytes();
+        let mut units: Vec<u16> = Vec::with_capacity(input.len());
+        let bare_hex = |d: &[u8]| {
+            std::str::from_utf8(d)
+                .ok()
+                .filter(|s| s.bytes().all(|b| b.is_ascii_hexdigit()))
+                .and_then(|s| u16::from_str_radix(s, 16).ok())
+        };
+        let mut i = 0;
+        while i < bytes.len() {
+            if bytes[i] == b'%' {
+                if bytes.get(i + 1) == Some(&b'u') && i + 5 < bytes.len() {
+                    if let Some(v) = bare_hex(&bytes[i + 2..i + 6]) {
+                        units.push(v);
+                        i += 6;
+                        continue;
+                    }
+                }
+                if let (Some(h), Some(l)) = (
+                    bytes.get(i + 1).and_then(|b| (*b as char).to_digit(16)),
+                    bytes.get(i + 2).and_then(|b| (*b as char).to_digit(16)),
+                ) {
+                    units.push((h * 16 + l) as u16);
+                    i += 3;
+                    continue;
+                }
+            }
+            let c = input[i..].chars().next().unwrap();
+            let mut buf = [0u16; 2];
+            units.extend_from_slice(c.encode_utf16(&mut buf));
+            i += c.len_utf8();
+        }
+        String::from_utf16_lossy(&units)
+    }
+
+    /// Builds an input from fragments chosen to hit every branch: free
+    /// Unicode text, stray and truncated `%`, `%XX`, `%uXXXX` over the
+    /// whole unit range (surrogates included), and signed digits.
+    fn fragmented_input(parts: &[(u8, u16, String)]) -> String {
+        let mut s = String::new();
+        for (kind, unit, text) in parts {
+            match kind {
+                0 => s.push_str(text),
+                1 => s.push('%'),
+                2 => s.push_str(&format!(
+                    "%u{}",
+                    &format!("{unit:04X}")[..1 + *unit as usize % 3]
+                )),
+                3 => s.push_str(&format!("%{:02x}", unit & 0xFF)),
+                4 => s.push_str(&format!("%u{unit:04X}")),
+                5 => s.push_str(&format!("%u{:04X}", 0xD800 + (unit & 0x7FF))),
+                6 => s.push_str(&format!("%u+{:03X}", unit & 0xFFF)),
+                _ => s.push_str(&escape(text)),
+            }
+        }
+        s
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn unescape_matches_the_utf16_oracle(
+            parts in proptest::collection::vec((0u8..8, proptest::any::<u16>(), "\\PC{0,4}"), 0..40)
+        ) {
+            let input = fragmented_input(&parts);
+            proptest::prop_assert_eq!(unescape(&input), unescape_via_utf16(&input), "input {:?}", input);
+        }
+
+        #[test]
+        fn unescape_matches_the_oracle_on_arbitrary_text(s in ".{0,200}") {
+            proptest::prop_assert_eq!(unescape(&s), unescape_via_utf16(&s));
+        }
+    }
+
+    #[test]
+    fn oracle_agrees_on_fixed_edges() {
+        for s in [
+            "100%",
+            "%zz",
+            "%u12",
+            "%u+041",
+            "%uD83D%uDE00",
+            "%uD83D",
+            "a%",
+            "%%u0041",
+        ] {
+            assert_eq!(unescape(s), unescape_via_utf16(s), "input {s:?}");
+        }
     }
 }

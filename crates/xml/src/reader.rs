@@ -8,7 +8,7 @@ use rcb_url::jsescape::unescape;
 use rcb_util::{RcbError, Result};
 
 use crate::model::{DeltaContent, ElementPayload, NewContent, PollPayload, TopLevel};
-use crate::scanner::{parse_document, XmlElement};
+use crate::scanner::{parse_document, XmlElement, XmlNode};
 
 /// Parses the `application/xml` body of a polling response.
 ///
@@ -159,8 +159,15 @@ fn parse_top(content: &XmlElement) -> Result<Option<TopLevel>> {
     }
 }
 
+/// Decodes one CDATA-wrapped payload. The writer emits exactly one CDATA
+/// child per payload element, which is unescaped in place; only a
+/// hand-split payload is concatenated first.
 fn decode_payload(el: &XmlElement) -> Result<ElementPayload> {
-    ElementPayload::decode(&unescape(&el.text()))
+    let encoded = match el.children.as_slice() {
+        [XmlNode::Text(t)] => unescape(t),
+        _ => unescape(&el.text()),
+    };
+    ElementPayload::decode(&encoded)
 }
 
 #[cfg(test)]

@@ -61,6 +61,7 @@ impl XmlElement {
 /// Parses a document and returns its root element.
 pub fn parse_document(input: &str) -> Result<XmlElement> {
     let mut s = Scanner {
+        src: input,
         bytes: input.as_bytes(),
         pos: 0,
     };
@@ -77,6 +78,7 @@ pub fn parse_document(input: &str) -> Result<XmlElement> {
 }
 
 struct Scanner<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -94,6 +96,13 @@ impl<'a> Scanner<'a> {
         self.bytes[self.pos..].starts_with(s.as_bytes())
     }
 
+    /// Offset of the first `needle` at or after byte `from`. Every
+    /// position the scanner stops at follows an ASCII delimiter, so `from`
+    /// is always a char boundary.
+    fn find(&self, from: usize, needle: &str) -> Option<usize> {
+        self.src[from..].find(needle).map(|rel| from + rel)
+    }
+
     fn skip_whitespace(&mut self) {
         while matches!(self.peek(), Some(b' ' | b'\t' | b'\r' | b'\n')) {
             self.pos += 1;
@@ -103,8 +112,8 @@ impl<'a> Scanner<'a> {
     fn skip_prolog(&mut self) -> Result<()> {
         self.skip_whitespace();
         if self.starts_with("<?xml") {
-            match self.bytes[self.pos..].windows(2).position(|w| w == b"?>") {
-                Some(rel) => self.pos += rel + 2,
+            match self.find(self.pos, "?>") {
+                Some(end) => self.pos = end + 2,
                 None => return Err(self.err("unterminated XML declaration")),
             }
         }
@@ -115,11 +124,8 @@ impl<'a> Scanner<'a> {
         loop {
             self.skip_whitespace();
             if self.starts_with("<!--") {
-                match self.bytes[self.pos + 4..]
-                    .windows(3)
-                    .position(|w| w == b"-->")
-                {
-                    Some(rel) => self.pos += 4 + rel + 3,
+                match self.find(self.pos + 4, "-->") {
+                    Some(end) => self.pos = end + 3,
                     None => return Err(self.err("unterminated comment")),
                 }
             } else {
@@ -140,7 +146,7 @@ impl<'a> Scanner<'a> {
         if self.pos == start {
             return Err(self.err("expected name"));
         }
-        Ok(String::from_utf8_lossy(&self.bytes[start..self.pos]).into_owned())
+        Ok(self.src[start..self.pos].to_owned())
     }
 
     fn parse_element(&mut self) -> Result<XmlElement> {
@@ -188,9 +194,9 @@ impl<'a> Scanner<'a> {
                     if self.peek() != Some(quote) {
                         return Err(self.err("unterminated attribute value"));
                     }
-                    let raw = String::from_utf8_lossy(&self.bytes[start..self.pos]).into_owned();
+                    let raw = &self.src[start..self.pos];
                     self.pos += 1;
-                    attrs.push((attr_name, decode_entities(&raw)));
+                    attrs.push((attr_name, decode_entities(raw)));
                 }
                 None => return Err(self.err("unterminated start tag")),
             }
@@ -217,16 +223,10 @@ impl<'a> Scanner<'a> {
             }
             if self.starts_with("<![CDATA[") {
                 let body_start = self.pos + 9;
-                match self.bytes[body_start..]
-                    .windows(3)
-                    .position(|w| w == b"]]>")
-                {
-                    Some(rel) => {
-                        let text =
-                            String::from_utf8_lossy(&self.bytes[body_start..body_start + rel])
-                                .into_owned();
-                        children.push(XmlNode::Text(text));
-                        self.pos = body_start + rel + 3;
+                match self.find(body_start, "]]>") {
+                    Some(end) => {
+                        children.push(XmlNode::Text(self.src[body_start..end].to_owned()));
+                        self.pos = end + 3;
                     }
                     None => return Err(self.err("unterminated CDATA section")),
                 }
@@ -243,10 +243,10 @@ impl<'a> Scanner<'a> {
                     while self.peek().is_some_and(|b| b != b'<') {
                         self.pos += 1;
                     }
-                    let raw = String::from_utf8_lossy(&self.bytes[start..self.pos]).into_owned();
+                    let raw = &self.src[start..self.pos];
                     // Whitespace-only runs between elements are formatting.
                     if !raw.trim().is_empty() {
-                        children.push(XmlNode::Text(decode_entities(&raw)));
+                        children.push(XmlNode::Text(decode_entities(raw)));
                     }
                 }
                 None => return Err(self.err(format!("unterminated element {name:?}"))),
@@ -274,14 +274,8 @@ pub fn decode_entities(s: &str) -> String {
             "gt" => Some('>'),
             "quot" => Some('"'),
             "apos" => Some('\''),
-            _ if entity.starts_with("#x") || entity.starts_with("#X") => {
-                u32::from_str_radix(&entity[2..], 16)
-                    .ok()
-                    .and_then(char::from_u32)
-            }
-            _ if entity.starts_with('#') => {
-                entity[1..].parse::<u32>().ok().and_then(char::from_u32)
-            }
+            _ if entity.starts_with("#x") || entity.starts_with("#X") => char_ref(&entity[2..], 16),
+            _ if entity.starts_with('#') => char_ref(&entity[1..], 10),
             _ => None,
         };
         match decoded {
@@ -297,6 +291,17 @@ pub fn decode_entities(s: &str) -> String {
     }
     out.push_str(rest);
     out
+}
+
+/// A numeric character reference's digits: bare digits of `radix` only
+/// (`u32::from_str_radix` alone would also take a leading `+`).
+fn char_ref(digits: &str, radix: u32) -> Option<char> {
+    if digits.is_empty() || !digits.chars().all(|c| c.is_digit(radix)) {
+        return None;
+    }
+    u32::from_str_radix(digits, radix)
+        .ok()
+        .and_then(char::from_u32)
 }
 
 /// Encodes text for inclusion as XML character data.
@@ -367,5 +372,57 @@ mod tests {
         let s = "a < b & \"c\" > 'd'";
         assert_eq!(decode_entities(&encode_attr(s)), s);
         assert_eq!(decode_entities("&bogus; &#xZZ; & x"), "&bogus; &#xZZ; & x");
+    }
+
+    #[test]
+    fn numeric_references_reject_signed_digits() {
+        assert_eq!(decode_entities("&#+65;"), "&#+65;");
+        assert_eq!(decode_entities("&#x+41;"), "&#x+41;");
+        assert_eq!(decode_entities("&#-65;"), "&#-65;");
+        assert_eq!(decode_entities("&#65;&#x41;&#X61;"), "AAa");
+    }
+
+    #[test]
+    fn cdata_bodies_ending_in_brackets() {
+        for (body, text) in [
+            ("<r><![CDATA[a]]]></r>", "a]"),
+            ("<r><![CDATA[a]]]]></r>", "a]]"),
+            ("<r><![CDATA[]]]></r>", "]"),
+            ("<r><![CDATA[]]></r>", ""),
+            ("<r><![CDATA[x]y]]z]]></r>", "x]y]]z"),
+        ] {
+            assert_eq!(parse_document(body).unwrap().text(), text, "{body}");
+        }
+    }
+
+    #[test]
+    fn unterminated_sections_at_end_of_input_are_errors() {
+        for doc in [
+            "<r><![CDATA[",
+            "<r><![CDATA[x]",
+            "<r><![CDATA[x]]",
+            "<r><![CDATA[x]]]",
+            "<r><![CDATA[x]]]>",
+            "<r><!--",
+            "<r><!-- x -",
+            "<r><!-- x --",
+            "<!-- x --",
+            "<?xml version='1.0'?",
+            "<?xml",
+        ] {
+            assert!(parse_document(doc).is_err(), "{doc:?} must not parse");
+        }
+    }
+
+    proptest::proptest! {
+        /// Slicing the source at scanner positions never splits a char:
+        /// arbitrary markup-shaped input parses or errors, never panics.
+        #[test]
+        fn scanner_never_panics_on_markup_soup(
+            doc in "(<|>|<!--|-->|<!\\[CDATA\\[|\\]\\]>|</|/>|<\\?xml|\\?>|=|\"|'|&#x41;|&|;|[a-z]|é|中|😀| ){0,60}"
+        ) {
+            let _ = parse_document(&doc);
+            let _ = parse_document(&format!("<r a='é'>{doc}</r>"));
+        }
     }
 }
